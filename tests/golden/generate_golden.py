@@ -24,8 +24,11 @@ import numpy as np
 from repro.core.em import EMConfig, EMEngine
 from repro.core.observation import ObservationSet
 from repro.core.priors import NIWPrior
-from repro.estimators.leo import LEOEstimator
+from repro.core.transfer import TransferPrior
 from repro.estimators.base import EstimationProblem
+from repro.estimators.leo import LEOEstimator
+from repro.estimators.transfer import TransferAwareLEO
+from repro.experiments import harness
 from repro.optimize.lp import EnergyMinimizer
 from repro.optimize.pareto import TradeoffFrontier, pareto_optimal_mask
 
@@ -123,6 +126,77 @@ def generate_leo() -> None:
                         observed=observed, curve=curve)
 
 
+#: Seed of the paper-scale cases' target choice and samples.
+PAPER_SCALE_SEED = 2015
+
+
+def paper_scale_problems():
+    """Rate and power problems for one seeded leave-one-out target on
+    the 1024-config paper space, k = 20 noisy samples.
+
+    Only the fitted outputs are stored; the inputs are rebuilt here from
+    the seeded standard context.
+    """
+    ctx = harness.default_context("paper")
+    rng = np.random.default_rng(PAPER_SCALE_SEED)
+    name = ctx.benchmark_names[int(rng.integers(len(ctx.benchmark_names)))]
+    view = ctx.dataset.leave_one_out(name)
+    indices = harness.random_indices(len(ctx.space), 20,
+                                     seed=int(rng.integers(2 ** 31)))
+    rates, powers = harness.sample_target(ctx, ctx.profile(name), indices)
+    return tuple(
+        EstimationProblem(features=ctx.features, prior=prior,
+                          observed_indices=indices, observed_values=values)
+        for prior, values in ((view.prior_rates, rates),
+                              (view.prior_powers, powers)))
+
+
+def hetero_scale_fit():
+    """A ``TransferAwareLEO`` rate problem and estimator on the
+    undecimated 2240-config big.LITTLE space, 48 noisy samples, with the
+    transfer prior built from a paper-space leave-one-out view."""
+    from repro.platform.hetero import BIG_LITTLE, HeteroMachine, hetero_space
+    from repro.platform.topology import PAPER_TOPOLOGY
+
+    ctx = harness.default_context("paper")
+    rng = np.random.default_rng(PAPER_SCALE_SEED + 1)
+    name = ctx.benchmark_names[int(rng.integers(len(ctx.benchmark_names)))]
+    view = ctx.dataset.leave_one_out(name)
+    space = hetero_space(BIG_LITTLE)
+    transfer = TransferPrior()
+    transfer.add_platform(PAPER_TOPOLOGY, ctx.space, view.prior_rates,
+                          view.prior_powers, names=view.prior_names)
+    transferred = transfer.build(BIG_LITTLE, space)
+    true_rates, _ = HeteroMachine(BIG_LITTLE, seed=7).sweep(
+        ctx.profile(name), space, noisy=False)
+    indices = harness.random_indices(len(space), 48,
+                                     seed=int(rng.integers(2 ** 31)))
+    observed = true_rates[indices] * (
+        1.0 + 0.02 * rng.standard_normal(indices.size))
+    problem = EstimationProblem(features=space.feature_matrix(),
+                                prior=transferred.rates,
+                                observed_indices=indices,
+                                observed_values=observed)
+    return problem, TransferAwareLEO(blocks=transferred.blocks)
+
+
+def generate_paper_scale() -> None:
+    """Target curves and posterior variances at paper scale."""
+    rate_problem, power_problem = paper_scale_problems()
+    out = {}
+    for quantity, problem in (("rate", rate_problem),
+                              ("power", power_problem)):
+        estimator = LEOEstimator()
+        out[f"{quantity}_curve"] = estimator.estimate(problem)
+        out[f"{quantity}_zvar"] = estimator.last_fit.result.zvar[-1]
+    np.savez_compressed(HERE / "leo_paper_1024.npz", **out)
+
+    problem, estimator = hetero_scale_fit()
+    curve = estimator.estimate(problem)
+    np.savez_compressed(HERE / "leo_transfer_2240.npz", curve=curve,
+                        zvar=estimator.last_fit.result.zvar[-1])
+
+
 def generate_hull_lp() -> None:
     rng = np.random.default_rng(99)
     n = 64
@@ -163,6 +237,7 @@ def main() -> None:
     generate_em()
     generate_leo()
     generate_hull_lp()
+    generate_paper_scale()
     print(f"fixtures written to {HERE}")
 
 

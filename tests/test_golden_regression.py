@@ -28,7 +28,11 @@ from repro.estimators.leo import LEOEstimator
 from repro.optimize.lp import EnergyMinimizer
 from repro.optimize.pareto import TradeoffFrontier, pareto_optimal_mask
 
-from golden.generate_golden import EM_CASES
+from golden.generate_golden import (
+    EM_CASES,
+    hetero_scale_fit,
+    paper_scale_problems,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 RTOL = 1e-9
@@ -78,6 +82,30 @@ def test_leo_estimate_matches_golden():
                                 observed_values=fixture["observed"])
     curve = LEOEstimator().estimate(problem)
     np.testing.assert_allclose(curve, fixture["curve"], rtol=RTOL)
+
+
+def test_leo_paper_scale_matches_golden():
+    """LEO rate and power curves and posterior variances of one
+    leave-one-out target on the 1024-config paper space (k=20)."""
+    fixture = _load("leo_paper_1024")
+    for quantity, problem in zip(("rate", "power"), paper_scale_problems()):
+        estimator = LEOEstimator()
+        curve = estimator.estimate(problem)
+        np.testing.assert_allclose(curve, fixture[f"{quantity}_curve"],
+                                   rtol=RTOL)
+        np.testing.assert_allclose(estimator.last_fit.result.zvar[-1],
+                                   fixture[f"{quantity}_zvar"], rtol=RTOL)
+
+
+def test_transfer_leo_hetero_scale_matches_golden():
+    """A ``TransferAwareLEO`` rate fit (matrix Psi) on the undecimated
+    2240-config big.LITTLE space."""
+    fixture = _load("leo_transfer_2240")
+    problem, estimator = hetero_scale_fit()
+    curve = estimator.estimate(problem)
+    np.testing.assert_allclose(curve, fixture["curve"], rtol=RTOL)
+    np.testing.assert_allclose(estimator.last_fit.result.zvar[-1],
+                               fixture["zvar"], rtol=RTOL)
 
 
 def test_hull_matches_golden():
