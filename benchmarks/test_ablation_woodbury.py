@@ -5,8 +5,12 @@ this ablation measures the cost difference on a realistically sized
 hierarchy, which is why the Woodbury path is the default.  The dense
 path inverts an n x n matrix per application per iteration; Woodbury
 pays one factorization per unique mask.
+
+The two arms are timed over interleaved repeats and compared by their
+medians, so one slow sample on a shared host cannot flip the verdict.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -22,6 +26,8 @@ from repro.experiments.harness import format_table
 #: dense arm finishes quickly while the asymmetry stays obvious.
 NUM_CONFIGS = 192
 NUM_APPS = 12
+#: Timed repeats of each arm, interleaved.
+REPEATS = 7
 
 
 def _observations(seed=0):
@@ -52,13 +58,23 @@ def test_ablation_woodbury(benchmark):
         return engine.fit(obs)
 
     fast_result = benchmark.pedantic(run_woodbury, rounds=1, iterations=1)
-
-    started = time.perf_counter()
     slow_result = run_dense()
-    dense_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    run_woodbury()
-    woodbury_seconds = time.perf_counter() - started
+
+    def timed(run):
+        started = time.perf_counter()
+        run()
+        return time.perf_counter() - started
+
+    samples = {run_woodbury: [], run_dense: []}
+    for repeat in range(REPEATS):
+        # Alternate which arm goes first, so neither always runs on a
+        # warmer cache.
+        order = ((run_woodbury, run_dense) if repeat % 2 == 0
+                 else (run_dense, run_woodbury))
+        for run in order:
+            samples[run].append(timed(run))
+    woodbury_seconds = statistics.median(samples[run_woodbury])
+    dense_seconds = statistics.median(samples[run_dense])
 
     print()
     print(format_table(
@@ -69,10 +85,12 @@ def test_ablation_woodbury(benchmark):
              float(np.max(np.abs(fast_result.zhat - slow_result.zhat)))],
         ],
         title=(f"Ablation: E-step implementation "
-               f"({NUM_APPS} apps x {NUM_CONFIGS} configs, 4 iterations)")))
+               f"({NUM_APPS} apps x {NUM_CONFIGS} configs, 4 iterations, "
+               f"median of {REPEATS} interleaved repeats)")))
     save_results("ablation_woodbury", {
         "woodbury_seconds": woodbury_seconds,
         "dense_seconds": dense_seconds,
+        "repeats": REPEATS,
         "max_abs_delta": float(
             np.max(np.abs(fast_result.zhat - slow_result.zhat))),
     })

@@ -367,6 +367,9 @@ class ClusterCoordinator:
 
     def _run(self) -> ClusterReport:
         ob = get_observability()
+        # Registered at zero, so the series exists before the first
+        # such departure rather than appearing mid-run.
+        ob.metrics.counter("cluster_calibration_departures_total")
         injector = get_injector()
         reports: Dict[str, TenantReport] = {}
         epoch_peaks: List[float] = []
@@ -408,6 +411,8 @@ class ClusterCoordinator:
                     logger.warning("tenant crashed",
                                    extra={"fields": {"tenant": victim}})
                 changed = self._apply_membership(now, reports, ob)
+                if changed:
+                    self._calibrate_members(now, reports, ob)
                 if not self._states:
                     if self._pending:
                         now = min(t.arrival for t in self._pending)
@@ -415,8 +420,6 @@ class ClusterCoordinator:
                         continue
                     break
                 if changed:
-                    for state in self._states.values():
-                        self._calibrate(state, ob)
                     self.node.sync_clocks()
                     allocation = None
                     realloc_next = True
@@ -653,8 +656,34 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Calibration and demands
     # ------------------------------------------------------------------
+    def _calibrate_members(self, now: float,
+                           reports: Dict[str, TenantReport], ob) -> None:
+        """Calibrate every tenant after a membership change.
+
+        A tenant left with no estimate — its calibration and the retry
+        both lost every sample, e.g. to total sensor dropout — cannot
+        be given a budget, so it departs at this epoch boundary
+        (counted and logged) and the node repartitions and recalibrates
+        around it.
+        """
+        while self._states:
+            lost = [name for name, state in self._states.items()
+                    if not self._calibrate(state, ob)]
+            if not lost:
+                return
+            for name in lost:
+                self._departures.add(name)
+                ob.metrics.inc("cluster_calibration_departures_total")
+                logger.warning(
+                    "tenant departs: no calibration",
+                    extra={"fields": {"tenant": name,
+                                      "reason": "calibration lost every "
+                                                "sample"}})
+            self._apply_membership(now, reports, ob)
+
     def _calibrate(self, state: _TenantState, ob,
-                   _retry: bool = True) -> None:
+                   _retry: bool = True) -> bool:
+        """Calibrate one tenant; False when it is left with no estimate."""
         tenant = state.tenant
         profile = tenant.profile_at(max(state.elapsed, 0.0))
         state.calibrations += 1
@@ -685,16 +714,14 @@ class ClusterCoordinator:
                     extra={"fields": {"tenant": tenant.name,
                                       "error": str(exc)}})
                 if state.estimate is not None:
-                    return
-                if _retry:
-                    self._calibrate(state, ob, _retry=False)
-                    return
-                raise
+                    return True
+                return _retry and self._calibrate(state, ob, _retry=False)
         state.estimate = estimate
         # The application progresses while being sampled.
         state.remaining_work = max(
             state.remaining_work - estimate.sampling_heartbeats, 0.0)
         ob.metrics.inc("cluster_calibrations_total")
+        return True
 
     def _demand(self, state: _TenantState) -> TenantDemand:
         remaining_time = max(state.remaining_time, 1e-9)

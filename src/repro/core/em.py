@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.linalg import (
     MaskedPosterior,
-    PosteriorCache,
     nearest_psd_jitter,
     symmetrize,
 )
@@ -47,14 +46,6 @@ class EMConfig:
         min_noise_var: Floor on sigma^2 to keep posteriors well-posed.
         use_woodbury: Use the masked Woodbury E-step (True) or the
             literal dense Eq. (3) inverses (False; for the ablation).
-        cache_posteriors: Memoize Woodbury factorizations by exact
-            parameter content (see :class:`repro.core.linalg.PosteriorCache`);
-            a hit returns the same objects recomputation would, so this
-            never changes results.
-        posterior_cache_tol: When > 0, additionally reuse a cached
-            factorization whose Sigma differs by at most this relative
-            max-norm — an explicit approximation for the late-EM plateau,
-            off by default.
         raise_on_nonconvergence: Raise :class:`~repro.errors.
             ConvergenceError` when the iteration cap is hit without
             meeting the tolerance, instead of returning
@@ -68,8 +59,6 @@ class EMConfig:
     tol: float = 1e-6
     min_noise_var: float = 1e-10
     use_woodbury: bool = True
-    cache_posteriors: bool = True
-    posterior_cache_tol: float = 0.0
     raise_on_nonconvergence: bool = False
 
     def __post_init__(self) -> None:
@@ -82,11 +71,6 @@ class EMConfig:
         if self.min_noise_var <= 0:
             raise ValueError(
                 f"min_noise_var must be positive, got {self.min_noise_var}"
-            )
-        if self.posterior_cache_tol < 0:
-            raise ValueError(
-                f"posterior_cache_tol must be >= 0, got "
-                f"{self.posterior_cache_tol}"
             )
 
 
@@ -137,8 +121,8 @@ def _default_initialization(obs: ObservationSet):
         data_var = 1.0
     if full_rows.sum() >= 2:
         sigma_mat = np.cov(values[full_rows], rowvar=False)
-        sigma_mat = nearest_psd_jitter(
-            sigma_mat + 0.05 * data_var * np.eye(obs.num_configs))
+        sigma_mat = nearest_psd_jitter(symmetrize(
+            sigma_mat + 0.05 * data_var * np.eye(obs.num_configs)))
     else:
         sigma_mat = data_var * np.eye(obs.num_configs)
     noise_var = max(0.01 * data_var, 1e-8)
@@ -148,26 +132,20 @@ def _default_initialization(obs: ObservationSet):
 class EMEngine:
     """Runs EM for the hierarchical model on an observation set.
 
-    The engine owns a :class:`~repro.core.linalg.PosteriorCache` shared
-    by every :meth:`fit` it performs: E-step groups (and repeated fits)
-    presenting bit-identical ``(Sigma, sigma^2, Omega)`` reuse one
-    Cholesky factorization.
+    Each iteration's dense work is one :class:`~repro.core.linalg.
+    MaskedPosterior` per mask group — for the fully observed group one
+    Cholesky factorization and one Cholesky inverse, for a partially
+    observed group k x k work and one exactly symmetric ``W'W`` product
+    — and one Cholesky check of the M-step's Sigma in
+    :func:`~repro.core.linalg.nearest_psd_jitter`.  Every Sigma iterate
+    is exactly symmetric by construction, so nothing is symmetrized per
+    iteration; the engine keeps no state between fits.
     """
 
     def __init__(self, prior: Optional[NIWPrior] = None,
                  config: EMConfig = EMConfig()) -> None:
         self.prior = prior
         self.config = config
-        self._posteriors = (
-            PosteriorCache(tol=config.posterior_cache_tol)
-            if config.cache_posteriors else None)
-
-    def _posterior(self, sigma_mat: np.ndarray, noise_var: float,
-                   obs_idx: np.ndarray):
-        """A (possibly cached) masked posterior for the given params."""
-        if self._posteriors is not None:
-            return self._posteriors.get(sigma_mat, noise_var, obs_idx)
-        return MaskedPosterior(sigma_mat, noise_var, obs_idx)
 
     # ------------------------------------------------------------------
     def fit(self, obs: ObservationSet,
@@ -181,7 +159,8 @@ class EMEngine:
         mu = np.asarray(init_mu, dtype=float) if init_mu is not None else default_mu
         if mu.shape != (n,):
             raise ValueError(f"init_mu shape {mu.shape} != ({n},)")
-        sigma_mat = (nearest_psd_jitter(np.asarray(init_sigma, dtype=float))
+        sigma_mat = (nearest_psd_jitter(symmetrize(
+                         np.asarray(init_sigma, dtype=float)))
                      if init_sigma is not None else default_sigma)
         if sigma_mat.shape != (n, n):
             raise ValueError(f"init_sigma shape {sigma_mat.shape} != ({n}, {n})")
@@ -223,11 +202,10 @@ class EMEngine:
                                     iteration=iterations) as it_span:
                     # ---------------- E-step (Eq. 3) ----------------
                     # Each mask group is handled as one stacked solve:
-                    # the factorization is computed (or fetched from the
-                    # posterior cache) once per group and applied to all
-                    # matching applications at once.
+                    # the factorization is computed once per group and
+                    # applied to all matching applications at once.
                     loglik = 0.0
-                    sum_cov = np.zeros((n, n))
+                    sum_cov = None
                     sse_obs = 0.0  # sum over observed entries of (zhat - y)^2
                     trace_obs = 0.0  # sum over observed entries of diag(C)
                     dense_sigma_inv = None
@@ -240,7 +218,7 @@ class EMEngine:
                         apps_arr = np.asarray(apps)
                         y_rows = obs.values[apps_arr][:, obs_idx]
                         if self.config.use_woodbury:
-                            post = self._posterior(sigma_mat, noise_var,
+                            post = MaskedPosterior(sigma_mat, noise_var,
                                                    obs_idx)
                             cov = post.covariance
                             zhat[apps_arr] = post.means(mu, y_rows)
@@ -250,12 +228,16 @@ class EMEngine:
                                 dense_sigma_inv, noise_var, obs_idx, mu,
                                 y_rows, n)
                             zhat[apps_arr] = zhat_rows
-                            check = self._posterior(sigma_mat, noise_var,
+                            check = MaskedPosterior(sigma_mat, noise_var,
                                                     obs_idx)
                             loglik += float(check.logliks(mu, y_rows).sum())
                         diag_cov = np.diag(cov)
                         zvar[apps_arr] = diag_cov
-                        sum_cov += len(apps) * cov
+                        if sum_cov is None:
+                            sum_cov = len(apps) * cov
+                        else:
+                            sum_cov += cov if len(apps) == 1 else (
+                                len(apps) * cov)
                         trace_obs += len(apps) * float(diag_cov[obs_idx].sum())
                         diffs = zhat[apps_arr][:, obs_idx] - y_rows
                         sse_obs += float(np.einsum("ij,ij->", diffs, diffs))
@@ -335,15 +317,20 @@ class EMEngine:
             mu0 = prior.mu0_vector(n)
             mu = (prior.pi * mu0 + zhat.sum(axis=0)) / (m + prior.pi)
 
+        # Every term is exactly symmetric (``C'C`` is one symmetric BLAS
+        # product), and the sums are made in place on one n x n array.
         centered = zhat - mu
-        scatter = sum_cov + centered.T @ centered
+        sigma_mat = centered.T @ centered
+        sigma_mat += sum_cov
         if prior is None:
-            sigma_mat = scatter / m
+            sigma_mat /= m
         else:
-            mu0 = prior.mu0_vector(n)
-            dev = (mu - mu0).reshape(-1, 1)
-            scatter = scatter + prior.psi_matrix(n) + prior.pi * (dev @ dev.T)
-            sigma_mat = scatter / (m + prior.nu)
+            prior.add_psi(sigma_mat)
+            dev = mu - prior.mu0_vector(n)
+            outer = np.outer(dev, dev)
+            outer *= prior.pi
+            sigma_mat += outer
+            sigma_mat /= m + prior.nu
         sigma_mat = nearest_psd_jitter(sigma_mat)
 
         noise_var = (trace_obs + sse_obs) / obs.total_observations

@@ -3,8 +3,10 @@
 Two concerns live here:
 
 * **Stability** — covariance iterates must stay symmetric positive
-  definite through hundreds of floating-point updates
-  (:func:`symmetrize`, :func:`nearest_psd_jitter`).
+  definite through hundreds of floating-point updates.  They are
+  exactly symmetric by construction (symmetric products, in-place
+  sums, a mirrored inverse), and :func:`nearest_psd_jitter` checks
+  positive definiteness with one Cholesky factorization per update.
 * **Efficiency** — the E-step posterior (paper Eq. 3)
 
       Cov(z_i) = (diag(L_i)/sigma^2 + Sigma^{-1})^{-1}
@@ -22,9 +24,7 @@ Two concerns live here:
 
 from __future__ import annotations
 
-import collections
-import hashlib
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -32,47 +32,79 @@ from scipy import linalg as sla
 from repro.errors import CovarianceError
 from repro.obs import get_metrics, start_timer, stop_timer
 
+#: Rows per strip of :func:`_mirror_lower`, and the strict upper
+#: triangle of a diagonal block of that size.
+_MIRROR_BLOCK = 64
+_BLOCK_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), bool), 1)
+
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """The symmetric part ``(A + A') / 2``."""
     return 0.5 * (a + a.T)
 
 
+def _add_to_diagonal(a: np.ndarray, value: float) -> None:
+    """``a += value * I`` in place, for a square ``a``."""
+    a.flat[::a.shape[0] + 1] += value
+
+
+def _mirror_lower(a: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of square ``a`` onto its upper one, in
+    place, one strip of rows at a time; the result is exactly
+    symmetric."""
+    n = a.shape[0]
+    for lo in range(0, n, _MIRROR_BLOCK):
+        hi = min(lo + _MIRROR_BLOCK, n)
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+        block = a[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=_BLOCK_UPPER[:hi - lo, :hi - lo])
+    return a
+
+
+def _cholesky(a: np.ndarray, overwrite: bool = False):
+    """LAPACK ``potrf`` of a symmetric ``a``: ``(factor, info)``.
+
+    The factor is Fortran-ordered with ``L`` in its lower triangle (the
+    upper one is left as it was).  A C-ordered ``a`` is handed over as
+    its transpose, which is the same matrix, so no reordering copy is
+    made.
+    """
+    if not a.flags.f_contiguous:
+        a = a.T
+    return sla.lapack.dpotrf(a, lower=1, clean=0, overwrite_a=overwrite)
+
+
 def nearest_psd_jitter(a: np.ndarray, max_tries: int = 12) -> np.ndarray:
     """Return ``a`` with just enough diagonal jitter to be Cholesky-able.
 
-    Starts from a relative jitter of 1e-12 of the mean diagonal and grows
-    by 10x per failed attempt.  Raises :class:`~repro.errors.
-    CovarianceError` (a ``np.linalg.LinAlgError`` subclass, so legacy
-    handlers keep working) when the matrix contains non-finite entries
-    or cannot be repaired within ``max_tries`` escalations — either
-    indicates a genuinely broken update, not roundoff.  Escalations past
-    the first attempt are counted on the ambient metrics registry
-    (``linalg_jitter_escalations_total``).
+    ``a`` must be symmetric (see :func:`symmetrize`).  One Cholesky
+    factorization checks it; a matrix that passes is returned as is,
+    without a copy.  Otherwise the jitter starts from a relative 1e-12
+    of the mean diagonal and grows by 10x per failed attempt.  Raises
+    :class:`~repro.errors.CovarianceError` (a ``np.linalg.LinAlgError``
+    subclass, so legacy handlers keep working) when the matrix contains
+    non-finite entries or cannot be repaired within ``max_tries``
+    escalations — either indicates a genuinely broken update, not
+    roundoff.  Escalations past the first attempt are counted on the
+    ambient metrics registry (``linalg_jitter_escalations_total``).
     """
-    a = symmetrize(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
         raise CovarianceError(
             "covariance matrix contains non-finite entries")
     scale = float(np.mean(np.diag(a)))
     if scale <= 0 or not np.isfinite(scale):
         scale = 1.0
-    jitter = 0.0
+    repaired = a
     for attempt in range(max_tries):
-        try:
-            np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
-            break
-        except np.linalg.LinAlgError:
-            jitter = scale * 10.0 ** (attempt - 12)
-            if attempt:
-                get_metrics().inc("linalg_jitter_escalations_total")
-    else:
-        raise CovarianceError(
-            "matrix is not repairable to positive definite"
-        )
-    if jitter:
-        a = a + jitter * np.eye(a.shape[0])
-    return a
+        if _cholesky(repaired)[1] == 0:
+            return repaired
+        jitter = scale * 10.0 ** (attempt - 12)
+        if attempt:
+            get_metrics().inc("linalg_jitter_escalations_total")
+        repaired = a.copy()
+        _add_to_diagonal(repaired, jitter)
+    raise CovarianceError("matrix is not repairable to positive definite")
 
 
 def cholesky_logdet(chol_lower: np.ndarray) -> float:
@@ -85,9 +117,10 @@ class MaskedPosterior:
 
     Precomputes everything that depends only on (Sigma, sigma^2, Omega)
     so that the per-application mean is a cheap matrix-vector product.
+    For a symmetric Sigma the covariance is exactly symmetric.
 
     Args:
-        sigma_mat: Prior covariance Sigma, ``(n, n)``, SPD.
+        sigma_mat: Prior covariance Sigma, ``(n, n)``, SPD and symmetric.
         noise_var: Observation noise sigma^2 (> 0).
         obs_idx: Sorted observed configuration indices Omega.
     """
@@ -109,35 +142,48 @@ class MaskedPosterior:
         if obs_idx.size == n and np.array_equal(obs_idx, np.arange(n)):
             # Fully observed fast path (the M-1 offline applications):
             # with S = Sigma + noise I and K = S^{-1},
-            #   Cov(z) = noise I - noise^2 K   and   G = I - noise K,
-            # so one Cholesky inverse replaces three O(n^3) products.
-            s_full = symmetrize(sigma_mat + noise_var * np.eye(n))
-            self._chol = sla.cho_factor(s_full, lower=True,
-                                        check_finite=False)
-            k_inv = self._cholesky_inverse(self._chol[0])
-            self._gain = np.eye(n) - noise_var * k_inv
-            self._cov = symmetrize(
-                noise_var * np.eye(n) - noise_var ** 2 * k_inv)
+            #   G = I - noise K   and   Cov(z) = noise G,
+            # so one Cholesky and one Cholesky inverse do all the work.
+            s_full = sigma_mat.T.copy(order="F")
+            _add_to_diagonal(s_full, noise_var)
+            factor = self._factor(s_full)
+            k_inv, info = sla.lapack.dpotri(factor, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"dpotri failed with info={info}")
+            gain = _mirror_lower(k_inv).T  # C-ordered, same matrix
+            gain *= -noise_var
+            _add_to_diagonal(gain, 1.0)
+            self._gain_t = gain
+            self._cov = noise_var * gain
         else:
-            s_no = sigma_mat[:, obs_idx]                   # (n, k)
-            s_oo = s_no[obs_idx, :] + noise_var * np.eye(obs_idx.size)
-            s_oo = symmetrize(s_oo)
-            self._chol = sla.cho_factor(s_oo, lower=True, check_finite=False)
-            # Gain G = Sigma[:, O] (Sigma[O, O] + noise I)^{-1}, (n, k).
-            self._gain = sla.cho_solve(self._chol, s_no.T,
-                                       check_finite=False).T
-            self._cov = symmetrize(sigma_mat - self._gain @ s_no.T)
+            # With L L' = Sigma[O, O] + noise I and W = L^{-1} Sigma[O, :],
+            #   Cov(z) = Sigma - W'W   and   G' = L^{-T} W,
+            # where W'W is computed as an exactly symmetric product.
+            s_on = sigma_mat[obs_idx, :]                   # (k, n)
+            s_oo = s_on[:, obs_idx]
+            _add_to_diagonal(s_oo, noise_var)
+            factor = self._factor(s_oo)
+            w = sla.solve_triangular(factor, s_on, lower=True,
+                                     check_finite=False)
+            self._gain_t = sla.solve_triangular(
+                factor, w, lower=True, trans="T", check_finite=False)
+            cov = w.T @ w
+            self._cov = np.subtract(sigma_mat, cov, out=cov)
+        self._chol = (factor, True)
+        self._logdet = cholesky_logdet(factor)
         get_metrics().inc("linalg_posterior_factorizations_total")
         stop_timer("linalg_posterior_seconds", started)
 
     @staticmethod
-    def _cholesky_inverse(chol_lower: np.ndarray) -> np.ndarray:
-        """Full inverse from a lower Cholesky factor via LAPACK potri."""
-        inv_tri, info = sla.lapack.dpotri(chol_lower, lower=1)
+    def _factor(s: np.ndarray) -> np.ndarray:
+        """The Cholesky factor of ``s``, computed in place."""
+        factor, info = _cholesky(s, overwrite=True)
         if info != 0:
-            raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-        # potri fills only the lower triangle; mirror it.
-        return np.tril(inv_tri) + np.tril(inv_tri, -1).T
+            raise np.linalg.LinAlgError(
+                f"Sigma[O, O] + noise I is not positive definite "
+                f"(potrf info={info})")
+        return factor
 
     @property
     def covariance(self) -> np.ndarray:
@@ -154,7 +200,7 @@ class MaskedPosterior:
                 f"y_obs shape {y_obs.shape} != obs count {self.obs_idx.shape}"
             )
         residual = y_obs - mu[self.obs_idx]
-        return mu + self._gain @ residual
+        return mu + residual @ self._gain_t
 
     def means(self, mu: np.ndarray, y_obs_rows: np.ndarray) -> np.ndarray:
         """E(z_i) for a batch of applications sharing this mask.
@@ -168,7 +214,7 @@ class MaskedPosterior:
                 f"got {y_obs_rows.shape}"
             )
         residuals = y_obs_rows - mu[self.obs_idx]
-        return mu + residuals @ self._gain.T
+        return mu + residuals @ self._gain_t
 
     def logliks(self, mu: np.ndarray, y_obs_rows: np.ndarray) -> np.ndarray:
         """Observed-data log-likelihood of each application in a batch."""
@@ -181,8 +227,7 @@ class MaskedPosterior:
         alphas = sla.cho_solve(self._chol, residuals.T, check_finite=False)
         quads = np.einsum("km,km->m", residuals.T, alphas)
         k = self.obs_idx.size
-        logdet = cholesky_logdet(self._chol[0])
-        return -0.5 * (quads + logdet + k * np.log(2 * np.pi))
+        return -0.5 * (quads + self._logdet + k * np.log(2 * np.pi))
 
     def observed_loglik(self, mu: np.ndarray, y_obs: np.ndarray) -> float:
         """Log N(y_obs | mu[O], Sigma[O, O] + sigma^2 I).
@@ -193,8 +238,8 @@ class MaskedPosterior:
         residual = y_obs - mu[self.obs_idx]
         alpha = sla.cho_solve(self._chol, residual, check_finite=False)
         k = self.obs_idx.size
-        logdet = cholesky_logdet(self._chol[0])
-        return float(-0.5 * (residual @ alpha + logdet + k * np.log(2 * np.pi)))
+        return float(-0.5 * (residual @ alpha + self._logdet
+                             + k * np.log(2 * np.pi)))
 
 
 def dense_posterior(sigma_mat: np.ndarray, noise_var: float,
@@ -215,100 +260,9 @@ def dense_posterior(sigma_mat: np.ndarray, noise_var: float,
     y_full = np.zeros(n)
     y_full[np.asarray(obs_idx, dtype=int)] = y_obs
 
-    sigma_inv = np.linalg.inv(nearest_psd_jitter(sigma_mat))
+    sigma_inv = np.linalg.inv(nearest_psd_jitter(symmetrize(sigma_mat)))
     precision = np.diag(indicator / noise_var) + sigma_inv
     cov = np.linalg.inv(precision)
     zhat = cov @ (indicator * y_full / noise_var + sigma_inv @ mu)
     stop_timer("linalg_dense_posterior_seconds", started)
     return zhat, symmetrize(cov)
-
-
-class PosteriorCache:
-    """Memoizes :class:`MaskedPosterior` factorizations across E-steps.
-
-    Keyed on a content digest of ``(Sigma, sigma^2, Omega)``: two E-step
-    groups — or two EM iterations, or two fits — presenting bit-identical
-    parameters share one Cholesky factorization, so a cache hit is
-    numerically indistinguishable from recomputation (this is what the
-    golden-regression suite relies on).
-
-    With ``tol > 0`` the cache additionally reuses the most recently
-    inserted entry whose mask matches when Sigma has moved by at most
-    ``tol`` (relative max-norm) and the noise is unchanged — an explicit
-    approximation for the late-EM plateau where Sigma is numerically
-    frozen but not bit-identical.  It is off (``0.0``) by default because
-    it trades a bounded perturbation of the posterior for the skipped
-    O(k^3) factorization.
-
-    The cache keeps references to the Sigma arrays it has seen; callers
-    must treat covariance iterates as immutable (the EM engine rebinds a
-    fresh array every M-step, it never mutates in place).
-
-    Args:
-        maxsize: Entries retained (LRU eviction).
-        tol: Relative Sigma drift accepted for approximate reuse.
-    """
-
-    def __init__(self, maxsize: int = 8, tol: float = 0.0) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        if tol < 0:
-            raise ValueError(f"tol must be >= 0, got {tol}")
-        self.maxsize = maxsize
-        self.tol = float(tol)
-        self._entries: "collections.OrderedDict[bytes, tuple]" = (
-            collections.OrderedDict())
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(sigma_mat: np.ndarray, noise_var: float,
-             obs_idx: np.ndarray) -> bytes:
-        digest = hashlib.sha1()
-        digest.update(repr(sigma_mat.shape).encode())
-        digest.update(np.ascontiguousarray(sigma_mat, dtype=float).tobytes())
-        digest.update(np.float64(noise_var).tobytes())
-        digest.update(np.ascontiguousarray(obs_idx, dtype=np.int64).tobytes())
-        return digest.digest()
-
-    def get(self, sigma_mat: np.ndarray, noise_var: float,
-            obs_idx: np.ndarray) -> MaskedPosterior:
-        """The memoized posterior for ``(Sigma, sigma^2, Omega)``."""
-        obs_idx = np.asarray(obs_idx, dtype=int)
-        key = self._key(sigma_mat, noise_var, obs_idx)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self._record_hit()
-            return entry[1]
-        if self.tol > 0:
-            approx = self._approximate_match(sigma_mat, noise_var, obs_idx)
-            if approx is not None:
-                self._record_hit()
-                return approx
-        self.misses += 1
-        posterior = MaskedPosterior(sigma_mat, noise_var, obs_idx)
-        self._entries[key] = (sigma_mat, posterior)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return posterior
-
-    def _approximate_match(self, sigma_mat: np.ndarray, noise_var: float,
-                           obs_idx: np.ndarray) -> Optional[MaskedPosterior]:
-        scale = max(float(np.max(np.abs(sigma_mat))), 1e-300)
-        for stored_sigma, posterior in reversed(self._entries.values()):
-            if (posterior.noise_var == noise_var
-                    and np.array_equal(posterior.obs_idx, obs_idx)
-                    and stored_sigma.shape == sigma_mat.shape
-                    and float(np.max(np.abs(stored_sigma - sigma_mat)))
-                    <= self.tol * scale):
-                return posterior
-        return None
-
-    def _record_hit(self) -> None:
-        self.hits += 1
-        get_metrics().inc("linalg_posterior_cache_hits_total")
-
-    def clear(self) -> None:
-        """Drop every cached factorization."""
-        self._entries.clear()

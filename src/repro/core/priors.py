@@ -46,11 +46,13 @@ class NIWPrior:
             if self.psi < 0:
                 raise ValueError(f"scalar psi must be >= 0, got {self.psi}")
         else:
-            psi = np.asarray(self.psi)
+            psi = np.asarray(self.psi, dtype=float)
             if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
                 raise ValueError(f"matrix psi must be square, got {psi.shape}")
             if not np.allclose(psi, psi.T):
                 raise ValueError("matrix psi must be symmetric")
+            # Stored exactly symmetric, so every EM Sigma iterate is too.
+            object.__setattr__(self, "psi", 0.5 * (psi + psi.T))
 
     @classmethod
     def paper_default(cls) -> "NIWPrior":
@@ -68,12 +70,19 @@ class NIWPrior:
 
     def psi_matrix(self, n: int) -> np.ndarray:
         """Psi materialized as an ``n x n`` matrix."""
+        psi = np.zeros((n, n))
+        self.add_psi(psi)
+        return psi
+
+    def add_psi(self, a: np.ndarray) -> None:
+        """``a += Psi`` in place, for an ``n x n`` array ``a``."""
         if np.isscalar(self.psi):
-            return float(self.psi) * np.eye(n)
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (n, n):
-            raise ValueError(f"psi has shape {psi.shape}, expected ({n}, {n})")
-        return psi.copy()
+            a.flat[::a.shape[0] + 1] += self.psi
+        elif self.psi.shape != a.shape:
+            raise ValueError(
+                f"psi has shape {self.psi.shape}, expected {a.shape}")
+        else:
+            a += self.psi
 
 
 #: Sentinel meaning "no prior": pure maximum-likelihood EM updates.

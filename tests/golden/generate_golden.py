@@ -8,8 +8,10 @@ The fixtures pin down the numerical behaviour of the EM engine, the
 Pareto/hull geometry and the Eq. (1) LP *before* any hot-path
 optimisation: ``tests/test_golden_regression.py`` asserts that the
 current code reproduces these arrays to ``rtol=1e-9``.  They were first
-captured against the serial, unbatched implementation, so any batched or
-cached rewrite of the same math is provably behaviour-preserving.
+captured against the serial, unbatched implementation, and the
+paper-scale cases against the batched engine before its dense work was
+cut down, so any rewrite of the same math is provably
+behaviour-preserving.
 
 Only regenerate them when the *intended* numerics change (a new model,
 a different convergence rule), never to make an optimisation pass.

@@ -151,6 +151,36 @@ class TestEpochFaults:
         assert injector.total_fired > 0
 
 
+class TestCalibrationLoss:
+    def test_tenant_that_loses_every_sample_departs(self, cores_space,
+                                                    cores_dataset):
+        # Total sensor dropout through the first tenant's admission
+        # calibration and its retry: the tenant departs at the epoch
+        # boundary with a counted reason, and the node keeps running
+        # for the tenant that arrives after the dropout window.
+        observability = Observability.recording()
+        coordinator = ClusterCoordinator(
+            cores_space, cap_watts=CAP, policy="joint", seed=SEED,
+            observability=observability)
+        for name, arrival in zip(NAMES, (0.0, 20.0)):
+            view = cores_dataset.leave_one_out(name)
+            coordinator.admit(Tenant(
+                name=name, workload=get_benchmark(name), work=200.0,
+                deadline=DEADLINE, arrival=arrival,
+                prior_rates=view.prior_rates,
+                prior_powers=view.prior_powers))
+        with use(FaultInjector(plan(
+                FaultSpec("sensor-dropout", end=15.0, probability=1.0)))):
+            report = coordinator.run()
+        lost, survivor = (report.tenants[name] for name in NAMES)
+        assert lost.calibrations == 2 and lost.epochs == 0
+        assert not lost.met_deadline
+        assert survivor.met_deadline and survivor.epochs > 0
+        counters = observability.metrics.snapshot()["counters"]
+        assert counters["cluster_calibration_departures_total"] == 1
+        assert counters["cluster_calibration_faults_total"] == 2
+
+
 class TestInfeasibleDemand:
     def _demand(self, name, required):
         rates = np.array([1.0, 2.0, 4.0])

@@ -1,11 +1,15 @@
 """Golden numerical-regression suite.
 
-The ``.npz`` fixtures under ``tests/golden/`` were captured against the
-serial, unbatched implementation of the EM engine, the hull geometry and
-the Eq. (1) LP (see ``tests/golden/generate_golden.py``).  These tests
-assert that the current code — including the batched E-step and the
-Cholesky-factor cache — reproduces those numbers to ``rtol=1e-9``, so
-every hot-path optimisation is provably behaviour-preserving.
+The ``.npz`` fixtures under ``tests/golden/`` were captured against
+earlier implementations of the EM engine, the hull geometry and the
+Eq. (1) LP (see ``tests/golden/generate_golden.py``): the small EM, LEO
+and hull/LP cases against the serial, unbatched engine, and the
+paper-scale LEO (n=1024) and ``TransferAwareLEO`` (n=2240) cases against
+the batched engine that still symmetrized every iterate and cached
+factorizations.  These tests assert that the current code — the batched
+E-step with its exactly symmetric posteriors and one PSD check per
+M-step — reproduces those numbers to ``rtol=1e-9``, so every hot-path
+optimisation is provably behaviour-preserving.
 
 If one of these fails after an intentional modelling change, regenerate
 with ``PYTHONPATH=src python tests/golden/generate_golden.py`` and

@@ -9,6 +9,8 @@ from repro.core.linalg import (
     nearest_psd_jitter,
     symmetrize,
 )
+from repro.errors import CovarianceError
+from repro.obs import Observability, use
 
 
 def _random_spd(n, seed):
@@ -38,6 +40,27 @@ class TestNearestPsdJitter:
         a[0, 0] -= np.linalg.eigvalsh(a)[0] * 1.0000001  # tip negative
         repaired = nearest_psd_jitter(a)
         np.linalg.cholesky(repaired)  # must not raise
+
+    def test_passing_matrix_is_returned_without_a_copy(self):
+        a = _random_spd(6, 0)
+        assert nearest_psd_jitter(a) is a
+
+    def test_non_finite_input_raises(self):
+        a = _random_spd(4, 2)
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(CovarianceError, match="non-finite"):
+            nearest_psd_jitter(a)
+
+    def test_escalations_are_counted(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        indefinite = symmetrize(q @ np.diag([1.0] * 5 + [-1e-6]) @ q.T)
+        ob = Observability.recording()
+        with use(ob):
+            repaired = nearest_psd_jitter(indefinite)
+        np.linalg.cholesky(repaired)
+        counters = ob.metrics.snapshot()["counters"]
+        assert counters["linalg_jitter_escalations_total"] >= 1
 
     def test_gives_up_on_hopeless_matrix(self):
         hopeless = -1e6 * np.eye(3)

@@ -3,9 +3,10 @@
 These lock down the two claims the parallel/batched PR rests on:
 
 * **Batching changes nothing** — the stacked mask-group E-step
-  (`MaskedPosterior.means` / `logliks`, `EMEngine._dense_group_posterior`,
-  the `PosteriorCache`) produces the same numbers as the one-application-
-  at-a-time loops it replaced;
+  (`MaskedPosterior.means` / `logliks`, `EMEngine._dense_group_posterior`)
+  produces the same numbers as the one-application-at-a-time loops it
+  replaced, and its posterior covariances are exactly symmetric and
+  match the literal dense Eq. (3);
 * **Scheduling changes nothing** — `ParallelRunner(workers=k)` returns
   results identical to the serial path for every k, chunking, and
   fallback mode, because each cell's seed is fixed in its payload.
@@ -22,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.em import EMConfig, EMEngine
-from repro.core.linalg import MaskedPosterior, PosteriorCache, dense_posterior
+from repro.core.linalg import MaskedPosterior, dense_posterior, symmetrize
 from repro.core.observation import ObservationSet
+from repro.core.priors import NIWPrior
 from repro.experiments.parallel import ParallelRunner, cell_seed
 from repro.obs import Observability, use
 from repro.optimize.lp import EnergyMinimizer
@@ -129,47 +131,77 @@ class TestBatchedEStepEqualsLoop:
         np.testing.assert_allclose(wood.loglik_history, dense.loglik_history,
                                    rtol=1e-6)
 
-    @settings(deadline=None, max_examples=10)
-    @given(st.integers(3, 8), st.integers(4, 10), st.integers(1, 3),
+
+# ----------------------------------------------------------------------
+# The posterior and the M-step: exact symmetry, dense agreement
+# ----------------------------------------------------------------------
+
+#: Mask sizes drawn for the properties below: one observation, a full
+#: mask (k = n, the fully observed fast path), or anything in between.
+_MASK_SIZES = st.sampled_from(["one", "full", "some"])
+
+
+def _mask(rng, n, size):
+    k = {"one": 1, "full": n}.get(size) or int(rng.integers(1, n + 1))
+    return np.sort(rng.choice(n, size=k, replace=False))
+
+
+def _obs_with_masks(rng, m, n, sizes):
+    """Observations whose applications cycle through masks of the
+    given sizes."""
+    masks = [_mask(rng, n, size) for size in sizes]
+    mask = np.zeros((m, n), dtype=bool)
+    for i in range(m):
+        mask[i, masks[i % len(masks)]] = True
+    return ObservationSet(values=rng.standard_normal((m, n)), mask=mask)
+
+
+class TestPosteriorProperties:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 12), _MASK_SIZES, st.floats(0.01, 2.0),
            st.integers(0, 10_000))
-    def test_posterior_cache_is_bit_transparent(self, n, m, num_masks, seed):
-        """Caching factorizations never changes a single bit of the fit."""
+    def test_covariance_is_exactly_symmetric(self, n, size, noise, seed):
         rng = np.random.default_rng(seed)
-        obs = _random_obs_set(rng, m, n, num_masks)
-        kwargs = dict(max_iterations=8, tol=1e-9)
-        cached = EMEngine(config=EMConfig(cache_posteriors=True,
-                                          **kwargs)).fit(obs)
-        plain = EMEngine(config=EMConfig(cache_posteriors=False,
-                                         **kwargs)).fit(obs)
-        assert np.array_equal(cached.zhat, plain.zhat)
-        assert np.array_equal(cached.zvar, plain.zvar)
-        assert np.array_equal(cached.sigma_mat, plain.sigma_mat)
-        assert cached.loglik_history == plain.loglik_history
-        assert cached.iterations == plain.iterations
+        sigma = symmetrize(_random_spd(rng, n))
+        cov = MaskedPosterior(sigma, noise, _mask(rng, n, size)).covariance
+        assert np.array_equal(cov, cov.T)
 
-    def test_cache_exact_hit_returns_same_object(self):
-        rng = np.random.default_rng(3)
-        sigma = _random_spd(rng, 6)
-        obs_idx = np.array([0, 2, 5])
-        cache = PosteriorCache(maxsize=4)
-        first = cache.get(sigma, 0.5, obs_idx)
-        second = cache.get(sigma.copy(), 0.5, obs_idx.copy())
-        assert second is first  # content-addressed, not identity-addressed
-        assert cache.hits == 1 and cache.misses == 1
-        # Any parameter change is a miss.
-        assert cache.get(sigma, 0.25, obs_idx) is not first
-        assert cache.get(sigma + 1e-14, 0.5, obs_idx) is not first
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 12), _MASK_SIZES, st.floats(0.01, 2.0),
+           st.integers(0, 10_000))
+    def test_matches_dense_posterior(self, n, size, noise, seed):
+        """Mean and covariance equal the literal Eq. (3) inverses."""
+        rng = np.random.default_rng(seed)
+        sigma = symmetrize(_random_spd(rng, n))
+        obs_idx = _mask(rng, n, size)
+        mu = rng.standard_normal(n)
+        y_obs = rng.standard_normal(obs_idx.size)
+        post = MaskedPosterior(sigma, noise, obs_idx)
+        z_dense, cov_dense = dense_posterior(sigma, noise, obs_idx, mu,
+                                             y_obs)
+        np.testing.assert_allclose(post.mean(mu, y_obs), z_dense,
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(post.covariance, cov_dense,
+                                   rtol=1e-10, atol=1e-10)
 
-    def test_cache_tolerance_mode_reuses_near_sigma(self):
-        rng = np.random.default_rng(4)
-        sigma = _random_spd(rng, 6)
-        obs_idx = np.array([1, 3])
-        cache = PosteriorCache(maxsize=4, tol=1e-6)
-        first = cache.get(sigma, 0.5, obs_idx)
-        drifted = sigma + 1e-9 * np.abs(sigma).max()
-        assert cache.get(drifted, 0.5, obs_idx) is first
-        far = sigma + 1e-3 * np.abs(sigma).max()
-        assert cache.get(far, 0.5, obs_idx) is not first
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 8), st.integers(2, 9),
+           st.lists(_MASK_SIZES, min_size=1, max_size=3),
+           st.sampled_from(["ml", "scalar", "matrix"]),
+           st.integers(0, 10_000))
+    def test_m_step_sigma_is_exactly_symmetric(self, n, m, sizes, psi,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        obs = _obs_with_masks(rng, m, n, sizes)
+        if psi == "matrix":
+            # Symmetric to allclose, not to the bit.
+            a = _random_spd(rng, n) / n
+            prior = NIWPrior(psi=a + 1e-15 * np.triu(a, 1))
+        else:
+            prior = None if psi == "ml" else NIWPrior.paper_default()
+        result = EMEngine(prior=prior, config=EMConfig(
+            max_iterations=4, tol=1e-12)).fit(obs)
+        assert np.array_equal(result.sigma_mat, result.sigma_mat.T)
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +230,19 @@ class TestFactorizationCounters:
         assert factorizations == result.iterations * len(groups)
         assert factorizations < result.iterations * obs.num_applications
 
+    @settings(deadline=None, max_examples=15)
+    @given(st.integers(1, 8), st.integers(2, 9),
+           st.lists(_MASK_SIZES, min_size=1, max_size=3),
+           st.integers(0, 10_000))
+    def test_one_factorization_per_group_for_any_masks(self, n, m, sizes,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        obs = _obs_with_masks(rng, m, n, sizes)
+        result, counters = self._fit_counting(
+            obs, EMConfig(max_iterations=4, tol=1e-12))
+        assert (counters["linalg_posterior_factorizations_total"]
+                == result.iterations * len(obs.mask_groups()))
+
     def test_dense_ablation_also_factorizes_per_group(self):
         rng = np.random.default_rng(12)
         obs = _random_obs_set(rng, m=10, n=6, num_masks=2)
@@ -205,28 +250,6 @@ class TestFactorizationCounters:
             obs, EMConfig(max_iterations=5, tol=1e-12, use_woodbury=False))
         factorizations = counters["linalg_posterior_factorizations_total"]
         assert factorizations == result.iterations * len(obs.mask_groups())
-
-    def test_repeated_fit_hits_the_cache(self):
-        """Re-fitting identical data reuses every factorization."""
-        rng = np.random.default_rng(13)
-        obs = _random_obs_set(rng, m=8, n=6, num_masks=2)
-        config = EMConfig(max_iterations=4, tol=1e-12)
-        engine = EMEngine(config=config)
-
-        ob = Observability.recording()
-        with use(ob):
-            first = engine.fit(obs)
-            before = ob.metrics.snapshot()["counters"]
-            second = engine.fit(obs)
-            after = ob.metrics.snapshot()["counters"]
-
-        new_factorizations = (
-            after["linalg_posterior_factorizations_total"]
-            - before["linalg_posterior_factorizations_total"])
-        assert new_factorizations == 0
-        assert after["linalg_posterior_cache_hits_total"] >= (
-            first.iterations * len(obs.mask_groups()))
-        assert np.array_equal(first.zhat, second.zhat)
 
 
 # ----------------------------------------------------------------------
