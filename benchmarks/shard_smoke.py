@@ -11,7 +11,7 @@ written:
   instances and remap only the lost shard's tenants when one leaves;
 * a ``RemoteEstimator``-shaped ``estimate`` over the fleet must be
   bit-identical to local execution on BOTH wires — the JSON-lines v1
-  protocol and the negotiated binary v2 frames;
+  protocol and the negotiated binary v3 frames;
 * binary frames must not be pathologically slower than JSON on the
   same fleet (a loose ratio bound; the win is exactness, not speed);
 * under the ``shard-loss`` fault plan a crashed broker's tenants shed

@@ -88,32 +88,44 @@ class TradeoffFrontier:
             raise ValueError("all configuration rates must be positive")
         if np.any(p <= 0):
             raise ValueError("all configuration powers must be positive")
-        points: List[Tuple[float, float, Optional[int]]] = [
-            (float(r[i]), float(p[i]), i) for i in range(r.size)
-        ]
-        if idle_power is not None:
-            if idle_power < 0:
-                raise ValueError(f"idle_power must be >= 0, got {idle_power}")
-            points.append((0.0, float(idle_power), None))
+        if idle_power is not None and idle_power < 0:
+            raise ValueError(f"idle_power must be >= 0, got {idle_power}")
         self.idle_power = idle_power
         started = start_timer()
-        self._vertices = self._lower_hull(points)
+        self._vertices = self._lower_hull(self._sorted_points(r, p,
+                                                              idle_power))
         stop_timer("hull_build_seconds", started)
         get_metrics().set_gauge("hull_vertices", len(self._vertices))
 
     @staticmethod
+    def _sorted_points(r: np.ndarray, p: np.ndarray,
+                       idle_power: Optional[float]
+                       ) -> List[Tuple[float, float, Optional[int]]]:
+        """``(rate, power, config_index)`` sorted by rate then power,
+        keeping the cheapest point of each rate (the first on ties).
+
+        Every configuration rate is positive, so the idle anchor (rate
+        0) always comes first.
+        """
+        order = np.lexsort((p, r))  # stable, like sorted()
+        rates = r[order]
+        first = np.empty(order.size, dtype=bool)
+        first[0] = True
+        np.not_equal(rates[1:], rates[:-1], out=first[1:])
+        order = order[first]
+        points: List[Tuple[float, float, Optional[int]]] = list(zip(
+            rates[first].tolist(), p[order].tolist(), order.tolist()))
+        if idle_power is not None:
+            points.insert(0, (0.0, float(idle_power), None))
+        return points
+
+    @staticmethod
     def _lower_hull(points: List[Tuple[float, float, Optional[int]]]
                     ) -> List[HullPoint]:
-        """Andrew's monotone chain, lower boundary only."""
-        points = sorted(points, key=lambda q: (q[0], q[1]))
-        # Deduplicate identical rates, keeping the cheapest.
-        dedup: List[Tuple[float, float, Optional[int]]] = []
-        for q in points:
-            if dedup and dedup[-1][0] == q[0]:
-                continue  # sorted by power within rate; first is cheapest
-            dedup.append(q)
+        """Andrew's monotone chain, lower boundary only, over points
+        sorted by rate with no rate repeated."""
         hull: List[Tuple[float, float, Optional[int]]] = []
-        for q in dedup:
+        for q in points:
             while len(hull) >= 2:
                 (x1, y1, _), (x2, y2, _) = hull[-2], hull[-1]
                 cross = (x2 - x1) * (q[1] - y1) - (q[0] - x1) * (y2 - y1)

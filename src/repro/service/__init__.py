@@ -14,7 +14,7 @@ Layers (see docs/SERVICE.md for the protocol and operational reference):
   typed error hierarchy (:class:`ServiceOverloaded`,
   :class:`DeadlineExceeded`, ...), and :class:`ServiceAddress`.
 * :mod:`repro.service.frames` — the length-prefixed binary wire
-  protocol (v2): bit-exact float64 frames, CRC-checked, negotiated
+  protocol (v3): bit-exact float64 frames, CRC-checked, negotiated
   per connection so v1 clients keep working (see docs/SHARDING.md).
 * :mod:`repro.service.registry` — :class:`ModelRegistry`, a versioned,
   schema-checked model store layered on

@@ -4,7 +4,7 @@
 with automatic reconnect-and-retry (exponential backoff) for transport
 failures and — optionally — for load sheds.  The wire encoding is
 JSON-lines (protocol v1) by default; ``wire="auto"`` negotiates the
-binary protocol v2 per server — the client probes with one binary ping
+binary protocol v3 per server — the client probes with one binary ping
 and falls back to JSON-lines when the server answers in JSON — so a
 binary-preferring client against an old broker degrades transparently.
 Both encodings round-trip float64 bit-exactly, so the choice is a
@@ -115,7 +115,7 @@ class ServiceClient:
             *answers* the probe instead of waiting for a line that
             never ends); the result is cached across reconnects and
             readable from :attr:`wire_mode`.  ``"binary"`` forces
-            protocol v2 without probing.  The sharded client defaults
+            protocol v3 without probing.  The sharded client defaults
             to ``"auto"`` — the fleet is always binary-capable.
     """
 
@@ -174,7 +174,7 @@ class ServiceClient:
     def _negotiate(self) -> None:
         """One binary ping probe; a JSON answer downgrades to v1.
 
-        A protocol-v2 broker answers the probe in binary — done.  A
+        A protocol-v3 broker answers the probe in binary — done.  A
         pre-binary broker answers with a JSON-lines protocol error (or
         hangs up on the unparseable bytes); either way the client caches
         ``"json"`` and reopens a clean connection, so existing servers

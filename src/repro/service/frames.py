@@ -1,6 +1,6 @@
 """The binary wire protocol: length-prefixed, checksummed frames.
 
-Protocol version 2.  The JSON-lines protocol (version 1, see
+Protocol version 3.  The JSON-lines protocol (version 1, see
 :mod:`repro.service.protocol`) is simple and bit-exact, but it pays
 ``repr``/parse costs per float and cannot carry NaN payloads or
 distinguish ``-0.0`` in every JSON implementation.  This codec encodes
@@ -14,7 +14,7 @@ Frame layout (all integers big-endian)::
     MAGIC    1 byte   0xAB — not '{', not valid UTF-8 lead byte, so a
                       broker can tell a binary frame from a JSON line
                       by its first byte
-    VERSION  1 byte   0x02 (this codec is wire protocol version 2)
+    VERSION  1 byte   0x03 (this codec is wire protocol version 3)
     FLAGS    1 byte   bit 0: a trace-context header follows the prefix
     LENGTH   4 bytes  byte length of HEADER + BODY
     HEADER   tagged dict — the optional ``trace`` context
@@ -49,10 +49,18 @@ tag    value
 ``f``  float64, 8 raw IEEE-754 bytes (bit-exact)
 ``s``  str: u32 byte length + UTF-8
 ``b``  bytes: u32 length + raw
+``D``  list of floats: u32 count + raw ``>f8`` data (bit-exact)
 ``l``  list: u32 count + tagged items
 ``d``  dict: u32 count + (u32+UTF-8 key, tagged value) pairs
 ``a``  float64 ndarray: u8 ndim + u32 per-dim sizes + raw ``>f8`` data
 =====  =============================================================
+
+A list or tuple whose items are all Python floats travels as one ``D``
+body rather than ``l`` with an ``f`` per item, so the request's
+float arrays cost one pack and one unpack instead of a Python call per
+element; it decodes to the same list of floats, bit for bit.  Version 3
+added the ``D`` tag; a version-2 frame is rejected with the same typed
+error as any other unsupported version.
 
 Every decode failure — short read, bad magic, future version, length
 overflow, checksum mismatch, unknown tag, trailing bytes — raises the
@@ -62,7 +70,7 @@ corrupt frames with the same typed-error machinery as unparseable JSON.
 
 Version negotiation: the broker answers each frame in the encoding it
 arrived in, so JSON-lines (v1) clients keep working untouched; a
-binary-capable client probes with one v2 frame and falls back to v1
+binary-capable client probes with one v3 frame and falls back to v1
 when the answer comes back as a JSON error (see
 :class:`repro.service.client.ServiceClient` ``wire="auto"``).
 """
@@ -92,7 +100,7 @@ __all__ = [
 ]
 
 #: The wire-protocol version this codec implements.
-BINARY_PROTOCOL_VERSION = 2
+BINARY_PROTOCOL_VERSION = 3
 
 #: First byte of every binary frame.  ``0xAB`` is neither ``{`` (the
 #: first byte of every JSON-lines frame) nor a legal UTF-8 lead byte,
@@ -123,9 +131,10 @@ def encode_value(value: Any, out: List[bytes]) -> None:
     """Append the tagged encoding of ``value`` to ``out``.
 
     Accepts the JSON-object universe (None/bool/int/float/str/list/
-    dict) plus ``bytes`` and float64 ``numpy.ndarray``; numpy scalars
-    degrade to their Python equivalents.  Anything else raises
-    :class:`FrameError` — the wire format never guesses.
+    dict) plus ``bytes`` and bool/int/float ``numpy.ndarray`` (sent as
+    float64, shape kept); numpy scalars degrade to their Python
+    equivalents.  Anything else raises :class:`FrameError` — the wire
+    format never guesses.
     """
     if value is None:
         out.append(b"Z")
@@ -155,19 +164,26 @@ def encode_value(value: Any, out: List[bytes]) -> None:
         out.append(_U32.pack(len(value)))
         out.append(bytes(value))
     elif isinstance(value, np.ndarray):
-        array = np.ascontiguousarray(value, dtype=">f8")
-        if array.ndim > 255:
-            raise FrameError(f"array rank {array.ndim} exceeds 255")
+        if value.dtype.kind not in "biuf":
+            raise FrameError(f"array dtype {value.dtype} is not encodable "
+                             f"on the wire")
+        if value.ndim > 255:
+            raise FrameError(f"array rank {value.ndim} exceeds 255")
         out.append(b"a")
-        out.append(bytes((array.ndim,)))
-        for dim in array.shape:
+        out.append(bytes((value.ndim,)))
+        for dim in value.shape:
             out.append(_U32.pack(dim))
-        out.append(array.tobytes())
+        out.append(value.astype(">f8").tobytes())
     elif isinstance(value, (list, tuple)):
-        out.append(b"l")
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            encode_value(item, out)
+        if {float}.issuperset(map(type, value)):
+            out.append(b"D")
+            out.append(_U32.pack(len(value)))
+            out.append(struct.pack(f">{len(value)}d", *value))
+        else:
+            out.append(b"l")
+            out.append(_U32.pack(len(value)))
+            for item in value:
+                encode_value(item, out)
     elif isinstance(value, dict):
         out.append(b"d")
         out.append(_U32.pack(len(value)))
@@ -228,6 +244,12 @@ def decode_value(reader: _Reader) -> Any:
             raise FrameError(f"corrupt big-int digits: {exc}") from exc
     if tag == b"f":
         return _F64.unpack(reader.take(8))[0]
+    if tag == b"D":
+        count = reader.u32()
+        if count * 8 > MAX_FRAME_BYTES:
+            raise FrameError(f"float list of {count} items exceeds the "
+                             f"frame size bound")
+        return np.frombuffer(reader.take(count * 8), dtype=">f8").tolist()
     if tag == b"s":
         data = reader.take(reader.u32())
         try:
@@ -267,7 +289,7 @@ def decode_value(reader: _Reader) -> Any:
 # Frames
 # ----------------------------------------------------------------------
 def encode_binary_frame(obj: Dict[str, Any]) -> bytes:
-    """One protocol-v2 frame for a request/response wire dict.
+    """One protocol-v3 frame for a request/response wire dict.
 
     The dict's optional ``trace`` entry travels in the frame header
     (FLAGS bit 0); everything else is the body.  The input dict is not

@@ -26,11 +26,12 @@ import dataclasses
 import hashlib
 import json
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.estimators.base import EstimationProblem
+from repro.service.frames import encode_value
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -348,10 +349,24 @@ def problem_from_payload(payload: Dict[str, Any]) -> EstimationProblem:
 def fingerprint(op: str, payload: Dict[str, Any]) -> str:
     """Content digest used as the request-coalescing key.
 
-    Canonical JSON (sorted keys) over the operation and payload; two
-    requests with the same fingerprint are guaranteed to produce the
-    same result, so the broker runs one fit and fans the answer out.
+    SHA-256 over the canonical binary encoding of ``[op, payload]``
+    (:func:`~repro.service.frames.encode_value` with dict keys sorted
+    at every level); two requests with the same fingerprint are
+    guaranteed to produce the same result, so the broker runs one fit
+    and fans the answer out.  A payload decoded from a JSON-lines frame
+    and the same payload decoded from a binary frame fingerprint equal.
     """
-    canonical = json.dumps([op, payload], sort_keys=True,
-                           separators=(",", ":"), default=_jsonable)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    parts: List[bytes] = []
+    encode_value([op, _sorted_keys(payload)], parts)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def _sorted_keys(value: Any) -> Any:
+    """``value`` with every dict's keys in sorted order; lists holding
+    only floats (the bulk of a payload) are returned as they are."""
+    if isinstance(value, dict):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if (isinstance(value, (list, tuple))
+            and not {float}.issuperset(map(type, value))):
+        return [_sorted_keys(item) for item in value]
+    return value

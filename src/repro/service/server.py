@@ -294,7 +294,7 @@ class ServiceServer:
             creates a private recording :class:`MetricsRegistry` (the
             ``metrics`` op should always have something to report) and
             no tracer.  A recording tracer enables per-request spans.
-        accept_binary: Whether protocol-v2 binary frames are served.
+        accept_binary: Whether protocol-v3 binary frames are served.
             ``False`` emulates a pre-binary broker — a binary frame is
             answered with a JSON-lines :class:`ProtocolError` and the
             connection closed — which is what the client's ``auto``
@@ -302,7 +302,7 @@ class ServiceServer:
             :class:`repro.service.client.ServiceClient`).
 
     Each connection may interleave JSON-lines (protocol v1) and binary
-    (v2) frames; the broker sniffs the first byte of every frame
+    (v3) frames; the broker sniffs the first byte of every frame
     (``0xAB`` is not ``{``) and answers in the encoding the request
     arrived in, so a mixed fleet of old and new clients shares one
     port.

@@ -49,7 +49,7 @@ class ShardFleet:
             :class:`RegistryReplica`).
         max_pending: Per-shard admission budget.
         max_workers: Per-shard handler threads.
-        accept_binary: Whether the shards speak protocol v2 (used by
+        accept_binary: Whether the shards speak protocol v3 (used by
             negotiation tests to raise an all-JSON fleet).
         server_kwargs: Extra :class:`ServiceServer` arguments applied
             to every shard.

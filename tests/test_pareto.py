@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.optimize.pareto import TradeoffFrontier, pareto_optimal_mask
 
@@ -142,3 +144,61 @@ class TestTradeoffFrontier:
         frontier = TradeoffFrontier([2.0, 2.0], [120.0, 100.0],
                                     idle_power=80.0)
         assert frontier.power_at(2.0) == pytest.approx(100.0)
+
+
+def _oracle_lower_hull(points):
+    """The per-point reference build: Python ``sorted`` on (rate, power),
+    keep the first (cheapest) point of each rate, then the monotone
+    chain.  ``TradeoffFrontier`` must give exactly its vertices."""
+    points = sorted(points, key=lambda q: (q[0], q[1]))
+    dedup = []
+    for q in points:
+        if dedup and dedup[-1][0] == q[0]:
+            continue
+        dedup.append(q)
+    hull = []
+    for q in dedup:
+        while len(hull) >= 2:
+            (x1, y1, _), (x2, y2, _) = hull[-2], hull[-1]
+            cross = (x2 - x1) * (q[1] - y1) - (q[0] - x1) * (y2 - y1)
+            if cross <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(q)
+    return hull
+
+
+@st.composite
+def _clouds(draw):
+    """(rates, powers, idle_power) with repeated rates and repeated
+    points drawn from small value pools, n from 1 to 1024."""
+    n = draw(st.integers(min_value=1, max_value=1024))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = draw(st.sampled_from([3, 16, 1 << 20]))
+    rates = rng.integers(1, pool + 1, n) * 0.37
+    powers = rng.integers(1, pool + 1, n) * 1.9
+    if draw(st.booleans()):
+        repeat = rng.integers(0, n, n // 3 + 1)
+        rates[repeat[1:]] = rates[repeat[0]]
+        powers[repeat[1:]] = powers[repeat[0]]
+    idle = draw(st.one_of(st.none(), st.floats(0.0, 50.0)))
+    return rates, powers, idle
+
+
+class TestHullBuildOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(_clouds())
+    def test_vertices_identical_to_per_point_build(self, cloud):
+        rates, powers, idle = cloud
+        points = [(float(rates[i]), float(powers[i]), i)
+                  for i in range(rates.size)]
+        if idle is not None:
+            points.append((0.0, float(idle), None))
+        expected = _oracle_lower_hull(points)
+        got = [(v.rate, v.power, v.config_index)
+               for v in TradeoffFrontier(rates, powers, idle).vertices]
+        assert got == expected
+        assert all(type(rate) is float and type(power) is float
+                   for rate, power, _ in got)

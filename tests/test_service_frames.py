@@ -1,4 +1,4 @@
-"""Property tests for the binary wire codec (protocol v2).
+"""Property tests for the binary wire codec (protocol v3).
 
 The codec's whole reason to exist is bit-exactness: every float64 —
 subnormals, NaN payloads, ``-0.0``, ``±inf`` — must survive a frame
@@ -13,6 +13,7 @@ never a raw struct/unicode/numpy exception.
 
 import io
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -61,6 +62,20 @@ _bodies = st.dictionaries(st.text(max_size=8), _values, max_size=6)
 
 def _bits(value: float) -> bytes:
     return struct.pack(">d", value)
+
+
+def _encoded(value) -> bytes:
+    parts = []
+    encode_value(value, parts)
+    return b"".join(parts)
+
+
+def _frame_around(payload: bytes, version: int = BINARY_PROTOCOL_VERSION
+                  ) -> bytes:
+    """A frame with a valid prefix, CRC and terminator around any body
+    bytes, so the body decoder itself is what gets tested."""
+    return (MAGIC + bytes((version, 0)) + struct.pack(">I", len(payload))
+            + payload + struct.pack(">I", zlib.crc32(payload)) + b"\n")
 
 
 def assert_bit_equal(left, right) -> None:
@@ -139,6 +154,64 @@ class TestRoundTrip:
         assert decoded.dtype == np.float64
         assert decoded.tobytes() == array.tobytes()
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_floats, max_size=64))
+    def test_float_list_round_trips_bit_exactly(self, values):
+        assert_bit_equal(
+            decode_binary_frame(encode_binary_frame({"x": values}))["x"],
+            values)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.lists(_floats, max_size=8), max_size=8))
+    def test_nested_float_lists_round_trip(self, rows):
+        assert_bit_equal(
+            decode_binary_frame(encode_binary_frame({"x": rows}))["x"],
+            rows)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(_floats, max_size=16), st.data())
+    def test_mixed_lists_round_trip(self, values, data):
+        # One non-float item anywhere keeps the per-item encoding.
+        other = data.draw(st.one_of(
+            st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+            st.booleans(), st.none()))
+        at = data.draw(st.integers(min_value=0, max_value=len(values)))
+        mixed = values[:at] + [other] + values[at:]
+        assert_bit_equal(
+            decode_binary_frame(encode_binary_frame({"x": mixed}))["x"],
+            mixed)
+
+    def test_float_tuple_decodes_as_list(self):
+        decoded = decode_binary_frame(
+            encode_binary_frame({"x": (1.5, -0.0)}))["x"]
+        assert_bit_equal(decoded, [1.5, -0.0])
+
+    @pytest.mark.parametrize("n", [1, 2, 1024])
+    def test_float_list_is_packed(self, n):
+        # Tag, u32 count, 8 raw bytes per float: no per-item tags.
+        values = [float(i) / 3 for i in range(n)]
+        encoded = _encoded(values)
+        assert len(encoded) == 1 + 4 + 8 * n
+        assert encoded[:1] == b"D"
+
+    def test_mixed_list_keeps_item_tags(self):
+        assert _encoded([1.5, 2]) == (b"l" + struct.pack(">I", 2)
+                                      + b"f" + _bits(1.5)
+                                      + b"i" + struct.pack(">q", 2))
+
+    def test_zero_dim_array_keeps_its_shape(self):
+        decoded = decode_binary_frame(
+            encode_binary_frame({"a": np.array(2.5)}))["a"]
+        assert decoded.shape == ()
+        assert decoded.dtype == np.float64
+        assert decoded.item() == 2.5
+
+    def test_int_array_travels_as_float64(self):
+        decoded = decode_binary_frame(
+            encode_binary_frame({"a": np.arange(4).reshape(2, 2)}))["a"]
+        assert decoded.dtype == np.float64
+        assert decoded.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
 
 class TestRejection:
     def _frame(self):
@@ -174,6 +247,14 @@ class TestRejection:
         with pytest.raises(FrameError, match="version"):
             decode_binary_frame(bytes(frame))
 
+    def test_version_two_frame_is_typed(self):
+        # Version 2 had no packed float lists; it is not decoded.
+        frame = bytearray(self._frame())
+        frame[1] = 2
+        with pytest.raises(FrameError,
+                           match="unsupported binary protocol version 2"):
+            decode_binary_frame(bytes(frame))
+
     def test_length_bound(self):
         prefix = MAGIC + bytes((BINARY_PROTOCOL_VERSION, 0)) + \
             struct.pack(">I", MAX_FRAME_BYTES + 1)
@@ -185,17 +266,40 @@ class TestRejection:
             decode_binary_frame(self._frame() + b"x")
 
     def test_unknown_tag(self):
-        parts = []
-        encode_value({"op": "ping"}, parts)
-        payload = b"".join(parts)
+        payload = _encoded({"op": "ping"})
         # Splice an unknown tag into an otherwise valid frame body.
         bad = payload[:5] + b"?" + payload[6:]
-        import zlib
-        frame = (MAGIC + bytes((BINARY_PROTOCOL_VERSION, 0))
-                 + struct.pack(">I", len(bad)) + bad
-                 + struct.pack(">I", zlib.crc32(bad)) + b"\n")
         with pytest.raises(FrameError):
-            decode_binary_frame(frame)
+            decode_binary_frame(_frame_around(bad))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_any_truncation_inside_a_float_list_is_typed(self, data):
+        # The count says 4 floats; the body (CRC and length valid for
+        # the short body) stops anywhere before the last byte.
+        body = _encoded({"x": [1.5, -0.0, 2.25, 5e-324]})
+        cut = data.draw(st.integers(min_value=len(body) - 36,
+                                    max_value=len(body) - 1))
+        with pytest.raises(FrameError, match="truncated"):
+            decode_binary_frame(_frame_around(body[:cut]))
+
+    def test_float_list_count_beyond_the_bound_is_typed(self):
+        count = MAX_FRAME_BYTES // 8 + 1
+        body = (_encoded({"x": 0})[:-9] + b"D" + struct.pack(">I", count)
+                + _bits(1.5))
+        with pytest.raises(FrameError, match="bound"):
+            decode_binary_frame(_frame_around(body))
+
+    @pytest.mark.parametrize("array", [
+        np.array([1 + 2j, 3 - 1j]),
+        np.array(["a", "b"]),
+        np.array([b"x"]),
+        np.array([object()], dtype=object),
+        np.array(["2020-01-01"], dtype="datetime64[D]"),
+    ])
+    def test_non_numeric_array_is_typed(self, array):
+        with pytest.raises(FrameError, match="dtype"):
+            encode_binary_frame({"a": array})
 
     def test_unencodable_type_is_typed(self):
         with pytest.raises(FrameError, match="not encodable"):

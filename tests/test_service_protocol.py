@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimators.base import EstimationProblem
 from repro.service.protocol import (
@@ -25,6 +27,23 @@ from repro.service.protocol import (
     fingerprint,
     problem_from_payload,
     problem_to_payload,
+)
+from repro.service.frames import decode_binary_frame, encode_binary_frame
+
+# What both wires carry alike: JSON-representable values, finite floats
+# (a JSON NaN has no payload bits to keep).
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 max_size=8),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+    ),
+    max_leaves=30,
 )
 
 
@@ -191,3 +210,52 @@ class TestFingerprint:
         base = fingerprint("estimate", {"x": 1})
         assert fingerprint("optimize", {"x": 1}) != base
         assert fingerprint("estimate", {"x": 2}) != base
+
+    def test_key_order_ignored_at_every_depth(self):
+        a = {"outer": {"b": [1.0, {"y": 2, "x": [0.5]}], "a": None},
+             "k": [{"q": 1.5, "p": "s"}]}
+        b = {"k": [{"p": "s", "q": 1.5}],
+             "outer": {"a": None, "b": [1.0, {"x": [0.5], "y": 2}]}}
+        assert fingerprint("estimate", a) == fingerprint("estimate", b)
+
+    def test_keys_at_depth_still_distinguish(self):
+        assert (fingerprint("estimate", {"o": {"a": 1, "b": 2}})
+                != fingerprint("estimate", {"o": {"a": 2, "b": 1}}))
+
+    @pytest.mark.parametrize("left,right", [
+        (1, 1.0), (0.0, -0.0), (True, 1), ([1.0, 2.0], [1.0, 2]),
+        ([0.0], [-0.0]), ([], None), ([[1.0]], [1.0]),
+    ])
+    def test_type_and_sign_distinguish(self, left, right):
+        assert (fingerprint("estimate", {"x": left})
+                != fingerprint("estimate", {"x": right}))
+
+    def test_tuple_and_list_fingerprint_equal(self):
+        assert (fingerprint("optimize", {"x": (1.0, 2.0)})
+                == fingerprint("optimize", {"x": [1.0, 2.0]}))
+
+    def test_estimate_request_equal_across_wires(self):
+        rng = np.random.default_rng(9)
+        problem = EstimationProblem(
+            features=rng.random((8, 3)), prior=rng.random((2, 8)) + 0.5,
+            observed_indices=np.array([0, 3, 6]),
+            observed_values=rng.random(3) + 0.5)
+        wire = Request(op="estimate", request_id=4, payload={
+            "problem": problem_to_payload(problem), "estimator": "leo",
+            "kwargs": {"seed": 3, "tol": -0.0}}).to_wire()
+        via_json = Request.from_wire(decode_frame(encode_frame(wire)))
+        via_binary = Request.from_wire(
+            decode_binary_frame(encode_binary_frame(wire)))
+        assert (fingerprint(via_json.op, via_json.payload)
+                == fingerprint(via_binary.op, via_binary.payload)
+                == fingerprint("estimate", wire["payload"]))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.dictionaries(st.text(max_size=6), _json_values, max_size=6))
+    def test_any_payload_equal_across_wires(self, payload):
+        wire = {"op": "optimize", "payload": payload}
+        via_json = decode_frame(encode_frame(wire))["payload"]
+        via_binary = decode_binary_frame(encode_binary_frame(wire))["payload"]
+        assert (fingerprint("optimize", via_json)
+                == fingerprint("optimize", via_binary)
+                == fingerprint("optimize", payload))
